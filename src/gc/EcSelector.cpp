@@ -190,15 +190,6 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       if (Cfg.Temperature)
         for (unsigned T = 0; T < SnapTempTiers; ++T)
           TB[T] = P->tempTierBytes(T);
-      // The traced WLB is recomputed inside the macro so the untraced
-      // RELOCATEALLSMALLPAGES path keeps skipping the computation.
-      HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                  TraceEventKind::EcPageConsidered, Ec.Cycle, P->begin(),
-                  Live, Hot,
-                  traceBitsFromDouble(
-                      Cfg.Temperature
-                          ? wlbTempFormula(Live, TB, Cfg.Hotness, EffCc)
-                          : wlbFormula(Live, Hot, Cfg.Hotness, EffCc)));
       if (Cfg.RelocateAllSmallPages) {
         // §3.1.1: crude-but-simple — all small pages, no sorting/budget.
         // Candidates start as RejectedBudget and flip to Selected below;
@@ -247,9 +238,6 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
 
   for (Page *P : Dead) {
     ++Ec.EmptyReclaimed;
-    HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                TraceEventKind::EcPageReclaimed, Ec.Cycle, P->begin(),
-                P->size());
     Heap.allocator().releasePage(P);
   }
 
@@ -295,13 +283,6 @@ EcSet hcsgc::selectEvacuationCandidates(GcHeap &Heap, ThreadContext &Ctx,
       if (It != AuditIndex.end())
         Audit->Entries[It->second].Verdict = EcVerdict::Selected;
     }
-    HCSGC_TRACE(Heap.traceSession(), Ctx.Trace, Ctx.IsGcThread,
-                TraceEventKind::EcPageSelected, Ec.Cycle, P->begin(),
-                P->liveBytes(), P->hotBytes(),
-                traceBitsFromDouble(
-                    P->sizeClass() == PageSizeClass::Small
-                        ? weightedLiveBytes(*P, Cfg.Hotness, EffCc)
-                        : static_cast<double>(P->liveBytes())));
     P->beginEvacuation();
   }
 

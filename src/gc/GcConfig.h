@@ -119,12 +119,10 @@ struct GcConfig {
   /// so each shard spans at least one medium page (see INTERNALS §10).
   unsigned AllocatorShards = 0;
   /// Initial small-page units carved per shard cache refill batch. Each
-  /// shard adapts its own batch between 1 and PageCacheBatchMax, driven
-  /// by refill misses (grow under churn, shrink as the shard nears full).
+  /// shard adapts its own batch between 1 and 64 (GcHeap.cpp's
+  /// PageCacheBatchMax), driven by refill misses (grow under churn,
+  /// shrink as the shard nears full).
   unsigned PageCacheBatch = 8;
-  /// Upper bound for the adaptive refill batch; clamped to at least
-  /// PageCacheBatch.
-  unsigned PageCacheBatchMax = 64;
 
   // --- Failure semantics ---------------------------------------------------
   /// Small pages of address space set aside exclusively for relocation
@@ -138,28 +136,6 @@ struct GcConfig {
   /// LAZYRELOCATE); the final attempt runs an emergency synchronous
   /// cycle that drains the deferred relocation set immediately.
   unsigned AllocStallRetries = 5;
-
-  // --- Simulated-cycle cost model (used only when probes are on) -----------
-  /// Fixed instruction cost of a load-barrier slow path (check, page
-  /// lookup, CAS self-heal).
-  uint64_t BarrierSlowPathCycles = 15;
-  /// Instruction cost of marking one object (bitmap CAS, accounting,
-  /// stack push).
-  uint64_t MarkObjectCycles = 12;
-  /// Fixed + per-byte instruction cost of relocating one object (bump
-  /// allocation, memcpy, forwarding CAS). Models the copy bandwidth the
-  /// cache simulator's prefetch-friendly streams would otherwise hide.
-  uint64_t RelocateObjectCycles = 40;
-  double RelocatePerByteCycles = 0.5;
-
-  // --- Raw-speed knobs (INTERNALS §14) -------------------------------------
-  /// Prefetch distance of the mark-stack drain: while tracing entry i of
-  /// the thread-local mark stack, prefetch the object header of entry
-  /// i - Distance (the stack drains from the back) and the livemap word
-  /// each freshly-discovered target will CAS. 0 disables all mark-path
-  /// software prefetching. Mark results are identical at any distance
-  /// (gc/MarkPrefetchTest); only wall-clock changes.
-  unsigned MarkPrefetchDistance = 4;
 
   // --- Instrumentation ------------------------------------------------------
   /// When true every thread gets a CacheHierarchy probe and all heap
@@ -188,10 +164,6 @@ struct GcConfig {
   /// audit) after EC selection, into a bounded in-memory ring. Disabled
   /// capture costs one relaxed load per cycle.
   bool SnapshotLogEnabled = false;
-  /// Captures retained by the in-memory ring (2 per cycle when enabled);
-  /// older captures are dropped and counted in
-  /// snapshot.dropped_records.
-  size_t SnapshotRingCaptures = 128;
   /// When non-empty, every capture is additionally streamed to this file
   /// as JSONL (one capture per line; see tools/heapscope).
   std::string SnapshotLogPath;

@@ -14,6 +14,14 @@
 
 using namespace hcsgc;
 
+/// Upper bound for each shard's adaptive small-page refill batch
+/// (clamped to at least GcConfig::PageCacheBatch).
+static constexpr unsigned PageCacheBatchMax = 64;
+/// Captures retained by the in-memory snapshot ring (2 per cycle when
+/// enabled); older captures are dropped and counted in
+/// snapshot.dropped_records.
+static constexpr size_t SnapshotRingCaptures = 128;
+
 /// Sizes the relocation-target reserve: the configured number of small
 /// pages plus one medium page, so both target classes can fall back to
 /// the reserve at least once per cycle even when the general
@@ -28,7 +36,7 @@ static size_t relocReserveBytesFor(const GcConfig &C) {
 GcHeap::GcHeap(const GcConfig &C)
     : Cfg(C), Alloc(C.Geometry, C.MaxHeapBytes, C.ReservedBytes,
                     relocReserveBytesFor(C), C.AllocatorShards,
-                    C.PageCacheBatch, C.PageCacheBatchMax,
+                    C.PageCacheBatch, PageCacheBatchMax,
                     C.Hotness && C.Temperature,
                     C.Hotness && C.SiteProfiling),
       Trace(C.TraceBufferEvents) {
@@ -44,18 +52,16 @@ GcHeap::GcHeap(const GcConfig &C)
   Alloc.bindMetrics(Metrics);
   MediumRefills = &Metrics.counter("alloc.tlab.medium_refills");
   StallUs = &Metrics.histogram("alloc.stall_us");
-  // Raw-speed instrumentation (INTERNALS §14): created unconditionally so
-  // the catalog stays config-independent; they only move when probes are
-  // on (batch_*) or the mark path runs with a nonzero prefetch distance.
+  // Probe-batch instrumentation (INTERNALS §14): created unconditionally
+  // so the catalog stays config-independent; they only move when probes
+  // are on.
   BatchFlushes = &Metrics.counter("simcache.batch_flushes");
   BatchEvents = &Metrics.counter("simcache.batch_events");
   BatchSampled = &Metrics.counter("simcache.batch_sampled_out");
-  MarkPrefetchIssued = &Metrics.counter("mark.prefetch_issued");
-  MarkPrefetchDrains = &Metrics.counter("mark.prefetch_drains");
   // Bind unconditionally so the snapshot.* names always exist in the
   // registry (the metrics catalog is config-independent).
   Snap.bindMetrics(Metrics);
-  Snap.configure(Cfg.SnapshotLogEnabled, Cfg.SnapshotRingCaptures,
+  Snap.configure(Cfg.SnapshotLogEnabled, SnapshotRingCaptures,
                  Cfg.SnapshotLogPath);
   // site.* counters are created unconditionally (config-independent
   // catalog, same as snapshot.*); the table only exists — and only then

@@ -157,9 +157,6 @@ struct ThreadContext {
   Counter *BatchFlushesCtr = nullptr;
   Counter *BatchEventsCtr = nullptr;
   Counter *BatchSampledCtr = nullptr;
-  /// Software prefetches issued on the mark path since the last publish
-  /// (drained into mark.prefetch_issued by GcHeap::publishMarkPrefetches).
-  uint64_t MarkPrefetchPending = 0;
 
 private:
   uint64_t ReportedFlushes = 0;
@@ -195,19 +192,6 @@ public:
   void recordAllocStall(uint64_t Micros) {
     if (StallUs)
       StallUs->record(Micros);
-  }
-
-  /// Drains \p Ctx's pending mark-path prefetch count into
-  /// mark.prefetch_issued and counts one drain pass in
-  /// mark.prefetch_drains when \p CountDrain. Called at the end of each
-  /// drainMarkWork pass and when a mutator flushes its mark buffer.
-  void publishMarkPrefetches(ThreadContext &Ctx, bool CountDrain) {
-    if (Ctx.MarkPrefetchPending != 0) {
-      MarkPrefetchIssued->add(Ctx.MarkPrefetchPending);
-      Ctx.MarkPrefetchPending = 0;
-    }
-    if (CountDrain)
-      MarkPrefetchDrains->increment();
   }
 
   /// Captures one per-page heap snapshot at a cycle boundary (\p Point)
@@ -359,9 +343,6 @@ private:
   Counter *BatchFlushes = nullptr;
   Counter *BatchEvents = nullptr;
   Counter *BatchSampled = nullptr;
-  /// mark.prefetch_* counters, cached at construction.
-  Counter *MarkPrefetchIssued = nullptr;
-  Counter *MarkPrefetchDrains = nullptr;
 
   std::atomic<uint64_t> RelocByMutator{0};
   std::atomic<uint64_t> RelocByGc{0};

@@ -7,10 +7,13 @@
 
 #include "gc/Marker.h"
 
-#include "support/Bits.h"
 #include "support/Compiler.h"
 
 using namespace hcsgc;
+
+/// Simulated instruction cost of marking one object (bitmap CAS,
+/// accounting, stack push); charged only when probes are on.
+static constexpr uint64_t MarkObjectCycles = 12;
 
 void hcsgc::markAndPush(GcHeap &Heap, uintptr_t Addr, ThreadContext &Ctx) {
   Page *P = Heap.pageTable().lookup(Addr);
@@ -20,17 +23,11 @@ void hcsgc::markAndPush(GcHeap &Heap, uintptr_t Addr, ThreadContext &Ctx) {
   // nor tracing is needed (ZGC's "allocating pages are not candidates").
   if (P->allocSeq() >= Heap.currentCycle())
     return;
-  // Hint the livemap word into exclusive state ahead of markLive's CAS:
-  // the header read below gives the prefetch a window to complete.
-  if (Heap.config().MarkPrefetchDistance != 0) {
-    P->prefetchMarkState(Addr);
-    ++Ctx.MarkPrefetchPending;
-  }
   Ctx.probeLoad(Addr, HeaderBytes); // header read for the size
   ObjectView V(Addr);
   if (!P->markLive(Addr, V.sizeBytes()))
     return;
-  Ctx.probeCompute(Heap.config().MarkObjectCycles);
+  Ctx.probeCompute(MarkObjectCycles);
   Ctx.MarkBuffer.push_back(Addr);
   if (Ctx.MarkBuffer.size() >= MarkQueue::ChunkSize)
     flushMarkBuffer(Heap, Ctx);
@@ -90,9 +87,6 @@ void hcsgc::traceObject(GcHeap &Heap, uintptr_t Addr, ThreadContext &Ctx) {
 }
 
 void hcsgc::flushMarkBuffer(GcHeap &Heap, ThreadContext &Ctx) {
-  // Publish prefetch stats accumulated by barrier-side markAndPush calls
-  // (mutators never run drainMarkWork, so this is their drain point).
-  Heap.publishMarkPrefetches(Ctx, /*CountDrain=*/false);
   if (Ctx.MarkBuffer.empty())
     return;
   MarkChunk Chunk;
@@ -101,33 +95,17 @@ void hcsgc::flushMarkBuffer(GcHeap &Heap, ThreadContext &Ctx) {
 }
 
 bool hcsgc::drainMarkWork(GcHeap &Heap, ThreadContext &Ctx) {
-  // LIFO drain with look-behind software prefetch: entry size()-1 is
-  // traced now, entry size()-1-Dist is traced Dist iterations from now —
-  // far enough ahead to cover a memory round trip, near enough that
-  // the line is still resident when its turn comes. Distance 0 turns
-  // every mark-path prefetch off (MarkPrefetchTest holds results equal
-  // at any distance).
-  const size_t Dist = Heap.config().MarkPrefetchDistance;
   bool DidWork = false;
   for (;;) {
     if (!Ctx.MarkBuffer.empty()) {
-      size_t N = Ctx.MarkBuffer.size();
-      if (Dist != 0 && N > Dist) {
-        prefetchRead(
-            reinterpret_cast<const void *>(Ctx.MarkBuffer[N - 1 - Dist]));
-        ++Ctx.MarkPrefetchPending;
-      }
       uintptr_t Addr = Ctx.MarkBuffer.back();
       Ctx.MarkBuffer.pop_back();
       traceObject(Heap, Addr, Ctx);
       DidWork = true;
       continue;
     }
-    if (!Heap.markQueue().popChunk(Ctx.MarkBuffer)) {
-      if (DidWork)
-        Heap.publishMarkPrefetches(Ctx, /*CountDrain=*/Dist != 0);
+    if (!Heap.markQueue().popChunk(Ctx.MarkBuffer))
       return DidWork;
-    }
     DidWork = true;
   }
 }

@@ -14,6 +14,13 @@
 
 using namespace hcsgc;
 
+/// Simulated fixed + per-byte instruction cost of relocating one object
+/// (bump allocation, memcpy, forwarding CAS); charged only when probes
+/// are on. Models the copy bandwidth the cache simulator's
+/// prefetch-friendly streams would otherwise hide.
+static constexpr uint64_t RelocateObjectCycles = 40;
+static constexpr double RelocatePerByteCycles = 0.5;
+
 /// Bump-allocates \p Bytes in the thread-local target page referenced by
 /// \p Target, acquiring a fresh page when the current one is full.
 static uintptr_t allocateInTarget(GcHeap &Heap, Page *&Target,
@@ -91,8 +98,8 @@ uintptr_t hcsgc::relocateOrForward(GcHeap &Heap, Page *Src,
               reinterpret_cast<const void *>(OldAddr), Bytes);
   Ctx.probeStore(NewAddr, static_cast<uint32_t>(Bytes));
 
-  Ctx.probeCompute(Cfg.RelocateObjectCycles +
-                   static_cast<uint64_t>(Cfg.RelocatePerByteCycles *
+  Ctx.probeCompute(RelocateObjectCycles +
+                   static_cast<uint64_t>(RelocatePerByteCycles *
                                          static_cast<double>(Bytes)));
   bool Won = false;
   uintptr_t Final = Fwd->insertOrGet(Off, NewAddr, Won);

@@ -7,6 +7,7 @@
 
 #include "heap/Page.h"
 
+#include "support/Bits.h"
 #include "support/MathExtras.h"
 
 using namespace hcsgc;

@@ -23,7 +23,6 @@
 #include "heap/Geometry.h"
 #include "heap/ObjectModel.h"
 #include "support/BitMap.h"
-#include "support/Bits.h"
 
 #include <atomic>
 #include <functional>
@@ -147,14 +146,6 @@ public:
     return LiveMap.test(granuleOf(Addr));
   }
   bool isHot(uintptr_t Addr) const { return HotMap.test(granuleOf(Addr)); }
-
-  /// Hints the livemap word covering \p Addr into cache (write intent)
-  /// ahead of the markLive CAS. Issued by the marker while it still has
-  /// the object-header read in flight, so the two misses overlap
-  /// (INTERNALS §14).
-  void prefetchMarkState(uintptr_t Addr) const {
-    prefetchWrite(LiveMap.wordAddr(granuleOf(Addr)));
-  }
 
   size_t liveBytes() const {
     return LiveBytesCtr.load(std::memory_order_relaxed);

@@ -45,9 +45,9 @@ bool readSnapshotLog(const std::string &Text,
 
 /// Parses a cycle-filter specification: either "N" (meaning N..N) or
 /// "A..B" (inclusive). Rejects empty input, trailing garbage on either
-/// number, and B < A. Shared by heapscope's --cycles flag and the tests
-/// covering it. \returns false (leaving \p Lo / \p Hi untouched) on any
-/// malformed input.
+/// number, and B < A. Shared by the --cycles flag of heapscope and
+/// gctrace and the tests covering it. \returns false (leaving \p Lo /
+/// \p Hi untouched) on any malformed input.
 bool parseCycleRange(const char *Spec, uint64_t &Lo, uint64_t &Hi);
 
 } // namespace hcsgc

@@ -54,17 +54,6 @@ enum class TraceEventKind : uint8_t {
   /// beginning of each M/R phase", §3.1.2). A = pages cleared. Cycle =
   /// the upcoming cycle.
   HotmapReset,
-  /// A small page was evaluated under the WLB rule during EC selection.
-  /// A = page begin address, B = live bytes, C = hot bytes,
-  /// D = bit-cast WLB (double). The effective COLDCONFIDENCE rides on
-  /// the enclosing PhaseBegin(EcSelect) event (its A, bit-cast double).
-  EcPageConsidered,
-  /// A page entered the evacuation candidate set. A = page begin,
-  /// B = live bytes, C = hot bytes, D = bit-cast selection weight.
-  EcPageSelected,
-  /// A fully-dead page was reclaimed without relocation. A = page begin,
-  /// B = page size.
-  EcPageReclaimed,
   /// An object transitioned cold -> hot in the hotmap. A = object
   /// address, B = object bytes. GcThread tells which §3.1.2 source fired
   /// (marker R-color scan vs mutator barrier slow path).
@@ -110,12 +99,6 @@ inline const char *traceEventKindName(TraceEventKind K) {
     return "pause_end";
   case TraceEventKind::HotmapReset:
     return "hotmap_reset";
-  case TraceEventKind::EcPageConsidered:
-    return "ec_page_considered";
-  case TraceEventKind::EcPageSelected:
-    return "ec_page_selected";
-  case TraceEventKind::EcPageReclaimed:
-    return "ec_page_reclaimed";
   case TraceEventKind::HotFlag:
     return "hot_flag";
   case TraceEventKind::Relocation:

@@ -89,19 +89,6 @@ void appendEvent(std::string &Out, const TraceEvent &E) {
   case TraceEventKind::HotmapReset:
     appendF(Out, ",\"pages\":%" PRIu64, E.A);
     break;
-  case TraceEventKind::EcPageConsidered:
-  case TraceEventKind::EcPageSelected:
-    Out += ',';
-    appendHex(Out, "page", E.A);
-    appendF(Out, ",\"live_bytes\":%" PRIu64 ",\"hot_bytes\":%" PRIu64
-                 ",\"wlb\":%.17g",
-            E.B, E.C, traceDoubleFromBits(E.D));
-    break;
-  case TraceEventKind::EcPageReclaimed:
-    Out += ',';
-    appendHex(Out, "page", E.A);
-    appendF(Out, ",\"page_bytes\":%" PRIu64, E.B);
-    break;
   case TraceEventKind::HotFlag:
     Out += ',';
     appendHex(Out, "addr", E.A);
@@ -153,10 +140,9 @@ bool phaseFromName(const std::string &Name, GcPhase &Out) {
 
 bool instantFromName(const std::string &Name, TraceEventKind &Out) {
   for (TraceEventKind K :
-       {TraceEventKind::HotmapReset, TraceEventKind::EcPageConsidered,
-        TraceEventKind::EcPageSelected, TraceEventKind::EcPageReclaimed,
-        TraceEventKind::HotFlag, TraceEventKind::Relocation,
-        TraceEventKind::AllocStall, TraceEventKind::EmergencyCycle})
+       {TraceEventKind::HotmapReset, TraceEventKind::HotFlag,
+        TraceEventKind::Relocation, TraceEventKind::AllocStall,
+        TraceEventKind::EmergencyCycle})
     if (Name == traceEventKindName(K)) {
       Out = K;
       return true;
@@ -262,17 +248,6 @@ bool hcsgc::readChromeTrace(const std::string &Text, CollectedTrace &Out,
       switch (Instant) {
       case TraceEventKind::HotmapReset:
         E.A = numArg(Args, "pages");
-        break;
-      case TraceEventKind::EcPageConsidered:
-      case TraceEventKind::EcPageSelected:
-        E.A = hexArg(Args, "page");
-        E.B = numArg(Args, "live_bytes");
-        E.C = numArg(Args, "hot_bytes");
-        E.D = traceBitsFromDouble(Args["wlb"].numberOr(0));
-        break;
-      case TraceEventKind::EcPageReclaimed:
-        E.A = hexArg(Args, "page");
-        E.B = numArg(Args, "page_bytes");
         break;
       case TraceEventKind::HotFlag:
         E.A = hexArg(Args, "addr");

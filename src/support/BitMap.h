@@ -79,13 +79,6 @@ public:
   /// \returns the number of 64-bit backing words.
   size_t numWords() const { return Words.size(); }
 
-  /// \returns the address of the word holding bit \p BitIdx — the
-  /// software-prefetch target ahead of a parSet on that bit.
-  const void *wordAddr(size_t BitIdx) const {
-    assert(BitIdx < NumBits && "bit index out of range");
-    return &Words[BitIdx >> 6];
-  }
-
   /// \returns the number of set bits.
   size_t count() const;
 

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Word-at-a-time bit kernels behind the hot metadata walks: popcount and
-/// ctz (builtin when available, portable SWAR fallback otherwise), software
-/// prefetch hints, and the SWAR nibble-aging kernel that ages 16 packed
-/// temperature nibbles per 64-bit word in one pass (INTERNALS §14). Every
+/// ctz (builtin when available, portable SWAR fallback otherwise) and the
+/// SWAR nibble-aging kernel that ages 16 packed temperature nibbles per
+/// 64-bit word in one pass (INTERNALS §14). Every
 /// kernel here has a scalar reference implementation in this header that
 /// support/BitsTest checks bit-for-bit.
 ///
@@ -44,25 +44,6 @@ inline unsigned ctz64(uint64_t W) {
 #else
   // Isolate the lowest set bit, then count the bits below it.
   return popcount64((W & (0 - W)) - 1);
-#endif
-}
-
-/// Hints the cache line holding \p Addr into cache for a read.
-inline void prefetchRead(const void *Addr) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(Addr, /*rw=*/0, /*locality=*/3);
-#else
-  (void)Addr;
-#endif
-}
-
-/// Hints the cache line holding \p Addr into cache for a write (the
-/// markLive CAS wants the livemap word in exclusive state).
-inline void prefetchWrite(const void *Addr) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(Addr, /*rw=*/1, /*locality=*/3);
-#else
-  (void)Addr;
 #endif
 }
 

@@ -13,7 +13,8 @@
 //            any hot flag of that cycle;
 //  - §3.1.3  the WLB rule degenerates correctly at the COLDCONFIDENCE
 //            boundaries 0.0 (wlb == live) and 1.0 (wlb == hot, unless
-//            the page has no hot bytes);
+//            the page has no hot bytes), checked against the EC decision
+//            audit;
 //  - §3.2    under LAZYRELOCATE, GC threads perform no relocation work
 //            between a cycle's end and the next cycle's begin (the
 //            mutator owns that window); the only in-cycle GC relocations
@@ -135,37 +136,53 @@ TEST(TraceInvariantTest, HotmapResetStartsEveryMarkPhase) {
 // confidence 0.0 treats cold as live (wlb == live bytes, plain ZGC), and
 // confidence 1.0 discounts cold entirely (wlb == hot bytes) — except on
 // pages with no hot bytes at all, where there is nothing to excavate and
-// the rule falls back to live bytes.
+// the rule falls back to live bytes. The knob values come from the
+// PhaseBegin(EcSelect) trace event; the per-page weights from the EC
+// decision audit, which records the WLB the selector actually used.
 TEST(TraceInvariantTest, WlbRespectsColdConfidenceBoundaries) {
   for (double Conf : {0.0, 1.0}) {
     SCOPED_TRACE("ColdConfidence=" + std::to_string(Conf));
     GcConfig Cfg = tracedConfig();
     Cfg.Hotness = true;
     Cfg.ColdConfidence = Conf;
+    Cfg.SnapshotLogEnabled = true;
     Runtime RT(Cfg);
     CollectedTrace T = runMixedHotnessWorkload(RT, 5000, 3);
 
-    size_t Considered = 0, Mixed = 0;
+    size_t Selections = 0;
     for (const TraceEvent &E : T.Events) {
       if (E.Kind == TraceEventKind::PhaseBegin &&
           static_cast<GcPhase>(E.A) == GcPhase::EcSelect) {
+        ++Selections;
         // The selector must run with the configured knob values.
         EXPECT_DOUBLE_EQ(traceDoubleFromBits(E.B), Conf);
         EXPECT_EQ(E.C, 1u) << "hotness knob not observed by selector";
       }
-      if (E.Kind != TraceEventKind::EcPageConsidered)
+    }
+    EXPECT_GT(Selections, 0u) << "no EC selection was traced";
+
+    size_t Considered = 0, Mixed = 0;
+    for (const CycleSnapshot &S : RT.collectSnapshots()) {
+      if (!S.HasAudit)
         continue;
-      ++Considered;
-      double Live = static_cast<double>(E.B);
-      double Hot = static_cast<double>(E.C);
-      double Wlb = traceDoubleFromBits(E.D);
-      ASSERT_LE(Hot, Live);
-      if (Hot > 0.0 && Hot < Live)
-        ++Mixed;
-      if (Conf == 0.0)
-        EXPECT_DOUBLE_EQ(Wlb, Live);
-      else
-        EXPECT_DOUBLE_EQ(Wlb, Hot > 0.0 ? Hot : Live);
+      for (const EcAuditEntry &E : S.Audit.Entries) {
+        // Small pages weighed under the WLB rule; dead and pinned pages
+        // are decided before any weight is computed.
+        if (E.SizeClass != SnapSizeClass::Small ||
+            E.Verdict == EcVerdict::DeadReclaimed ||
+            E.Verdict == EcVerdict::PinnedSkipped)
+          continue;
+        ++Considered;
+        double Live = static_cast<double>(E.LiveBytes);
+        double Hot = static_cast<double>(E.HotBytes);
+        ASSERT_LE(Hot, Live);
+        if (Hot > 0.0 && Hot < Live)
+          ++Mixed;
+        if (Conf == 0.0)
+          EXPECT_DOUBLE_EQ(E.Weight, Live);
+        else
+          EXPECT_DOUBLE_EQ(E.Weight, Hot > 0.0 ? Hot : Live);
+      }
     }
     EXPECT_GT(Considered, 0u) << "EC selection considered no small page";
     EXPECT_GT(Mixed, 0u)

@@ -4,10 +4,11 @@
 // using Hotness" (PLDI 2020). Distributed under the MIT license.
 //
 // Loads a Chrome trace_event JSON file produced by Runtime::dumpTrace (or
-// the trace exporter directly) and prints a per-cycle summary: pause
-// durations, EC selection decisions, hotness flags and relocation
-// attribution. The same file loads in chrome://tracing or Perfetto for a
-// visual timeline; this tool answers the quantitative questions.
+// the trace exporter directly) and prints a per-cycle summary: pause and
+// phase durations, hotness flags and relocation attribution (per-page EC
+// decisions live in the snapshot log's audit; see tools/heapscope). The
+// same file loads in chrome://tracing or Perfetto for a visual timeline;
+// this tool answers the quantitative questions.
 //
 //   $ gctrace trace.json              # per-cycle summary
 //   $ gctrace trace.json --threads    # add the per-thread table
@@ -16,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "observe/SnapshotLog.h"
 #include "observe/TraceJson.h"
 
 #include <algorithm>
@@ -37,9 +39,6 @@ struct CycleSummary {
   double PauseUs[3] = {0, 0, 0}; ///< STW1 / STW2 / STW3.
   double MarkUs = 0;
   double RelocUs = 0;
-  uint64_t EcConsidered = 0;
-  uint64_t EcSelected = 0;
-  uint64_t EcReclaimed = 0;
   uint64_t HotFlags = 0;
   uint64_t HotFlagBytes = 0;
   uint64_t RelocMut = 0, RelocGc = 0;
@@ -71,15 +70,6 @@ void printEvent(const TraceEvent &E) {
   case TraceEventKind::PauseEnd:
     std::printf(" %s", gcPhaseName(static_cast<GcPhase>(E.A)));
     break;
-  case TraceEventKind::EcPageConsidered:
-  case TraceEventKind::EcPageSelected:
-    std::printf(" page=0x%" PRIx64 " live=%" PRIu64 " hot=%" PRIu64
-                " wlb=%.1f",
-                E.A, E.B, E.C, traceDoubleFromBits(E.D));
-    break;
-  case TraceEventKind::EcPageReclaimed:
-    std::printf(" page=0x%" PRIx64 " bytes=%" PRIu64, E.A, E.B);
-    break;
   case TraceEventKind::HotFlag:
     std::printf(" addr=0x%" PRIx64 " bytes=%" PRIu64, E.A, E.B);
     break;
@@ -105,28 +95,18 @@ int main(int Argc, char **Argv) {
     if (std::strcmp(Argv[I], "--threads") == 0) {
       ShowThreads = true;
     } else if (std::strncmp(Argv[I], "--events=", 9) == 0) {
-      DumpEvents = std::atol(Argv[I] + 9);
-    } else if (std::strncmp(Argv[I], "--cycles=", 9) == 0) {
-      // A..B (inclusive), or a single cycle number.
       const char *Spec = Argv[I] + 9;
       char *End = nullptr;
-      CycleLo = std::strtoull(Spec, &End, 10);
-      if (End == Spec) {
-        std::fprintf(stderr, "bad --cycles range: %s\n", Spec);
+      DumpEvents = std::strtol(Spec, &End, 10);
+      if (End == Spec || *End != '\0' || DumpEvents < 0) {
+        std::fprintf(stderr, "bad --events count: %s\n", Spec);
         return 2;
       }
-      if (End[0] == '.' && End[1] == '.') {
-        const char *Hi = End + 2;
-        CycleHi = std::strtoull(Hi, &End, 10);
-        if (End == Hi) {
-          std::fprintf(stderr, "bad --cycles range: %s\n", Spec);
-          return 2;
-        }
-      } else {
-        CycleHi = CycleLo;
-      }
-      if (CycleHi < CycleLo) {
-        std::fprintf(stderr, "bad --cycles range: %s\n", Spec);
+    } else if (std::strncmp(Argv[I], "--cycles=", 9) == 0) {
+      // Same grammar as heapscope: "A..B" (inclusive) or "N" (N..N);
+      // trailing garbage and inverted ranges are rejected.
+      if (!parseCycleRange(Argv[I] + 9, CycleLo, CycleHi)) {
+        std::fprintf(stderr, "bad --cycles range: %s\n", Argv[I] + 9);
         return 2;
       }
     } else if (Argv[I][0] == '-') {
@@ -219,15 +199,6 @@ int main(int Argc, char **Argv) {
         C.RelocUs += Us;
       break;
     }
-    case TraceEventKind::EcPageConsidered:
-      ++C.EcConsidered;
-      break;
-    case TraceEventKind::EcPageSelected:
-      ++C.EcSelected;
-      break;
-    case TraceEventKind::EcPageReclaimed:
-      ++C.EcReclaimed;
-      break;
     case TraceEventKind::HotFlag:
       ++C.HotFlags;
       C.HotFlagBytes += E.B;
@@ -250,22 +221,19 @@ int main(int Argc, char **Argv) {
   // artificial empty entry if nothing landed there.
   if (!Cycles.empty() && Cycles.begin()->first == 0) {
     const CycleSummary &C0 = Cycles.begin()->second;
-    if (C0.RelocMut + C0.RelocGc + C0.HotFlags + C0.EcConsidered == 0)
+    if (C0.RelocMut + C0.RelocGc + C0.HotFlags == 0)
       Cycles.erase(Cycles.begin());
   }
 
   std::printf("\n-- per-cycle --\n");
-  std::printf("%5s %9s %9s %9s %9s %9s | %5s %5s %5s | %8s | %9s %9s\n",
-              "cycle", "stw1(us)", "stw2(us)", "stw3(us)", "mark(us)",
-              "reloc(us)", "cons", "sel", "recl", "hotflag", "mutKB",
-              "gcKB");
+  std::printf("%5s %9s %9s %9s %9s %9s | %8s | %9s %9s\n", "cycle",
+              "stw1(us)", "stw2(us)", "stw3(us)", "mark(us)", "reloc(us)",
+              "hotflag", "mutKB", "gcKB");
   for (const auto &[Cycle, C] : Cycles)
-    std::printf("%5" PRIu64
-                " %9.1f %9.1f %9.1f %9.1f %9.1f | %5" PRIu64 " %5" PRIu64
-                " %5" PRIu64 " | %8" PRIu64 " | %9.1f %9.1f\n",
+    std::printf("%5" PRIu64 " %9.1f %9.1f %9.1f %9.1f %9.1f | %8" PRIu64
+                " | %9.1f %9.1f\n",
                 Cycle, C.PauseUs[0], C.PauseUs[1], C.PauseUs[2], C.MarkUs,
-                C.RelocUs, C.EcConsidered, C.EcSelected, C.EcReclaimed,
-                C.HotFlags,
+                C.RelocUs, C.HotFlags,
                 static_cast<double>(C.RelocMutBytes) / 1024.0,
                 static_cast<double>(C.RelocGcBytes) / 1024.0);
 
