@@ -144,9 +144,11 @@ inline size_t refArraySizeFor(uint32_t Length) {
   return HeaderBytes + 8 + static_cast<size_t>(Length) * 8;
 }
 
-/// Writes the header and (for ref arrays) length word of a new object at
-/// \p Addr; reference slots must already be zero (allocators hand out
-/// zeroed memory).
+/// Initializes a new object of \p SizeWords words at \p Addr: zeroes the
+/// body (every ref slot null, every payload byte 0), then writes the
+/// header and, for ref arrays, the length word. The memory may hold any
+/// bytes on entry: pages are never zeroed, so this is the only place new
+/// objects are cleared.
 void initializeObject(uintptr_t Addr, uint32_t SizeWords, ClassId Cls,
                       uint8_t NumRefs, uint8_t Flags, uint32_t ArrayLength);
 

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <thread>
 
 #include <sys/mman.h>
@@ -345,12 +344,11 @@ bool PageAllocator::ownedRemovePageLocked(Shard &S, Page *P) {
 Page *PageAllocator::installPage(Shard &S, size_t Offset, size_t PageBytes,
                                  PageSizeClass Cls, uint64_t AllocSeq) {
   uintptr_t Begin = Base + Offset * Geo.SmallPageSize;
-  // Fresh pages must be zeroed: reference slots of new objects are null
-  // by construction. For a recycled cached unit this runs strictly after
-  // the Treiber handoff edge, so no earlier owner's stores can be
-  // reordered past it.
-  std::memset(reinterpret_cast<void *>(Begin), 0, PageBytes);
-
+  // The page's bytes are left as the last owner wrote them: mutators zero
+  // each object in initializeObject, relocation overwrites each target
+  // with a full copy, and nothing reads page bytes outside live objects.
+  // The first writer of a recycled unit is whoever allocates into it,
+  // strictly after the Treiber (or shard-lock) handoff edge.
   Page *P = new Page(Begin, PageBytes, Cls, AllocSeq,
                      TrackTemp && Cls == PageSizeClass::Small,
                      TrackSites && Cls == PageSizeClass::Small);

@@ -34,8 +34,8 @@
 ///    head value therefore synchronizes with *every* push below it, making
 ///    all link stores — and everything the pushing thread wrote into the
 ///    managed memory before pushing — visible to the popper. That pair is
-///    the handoff edge for recycled page units: the popper may memset and
-///    reuse the unit without further synchronization.
+///    the handoff edge for recycled page units: whoever allocates into the
+///    popped unit may overwrite its bytes without further synchronization.
 ///
 ///  - Link loads in pop can be relaxed: the link was written either by the
 ///    push observed via the acquire above, or by this thread. The CAS

@@ -434,3 +434,14 @@ bool hcsgc::parseCycleRange(const char *Spec, uint64_t &Lo,
   Hi = B;
   return true;
 }
+
+bool hcsgc::parseCount(const char *Spec, long &Out) {
+  if (!Spec)
+    return false;
+  char *End = nullptr;
+  long V = std::strtol(Spec, &End, 10);
+  if (End == Spec || *End != '\0' || V < 0)
+    return false;
+  Out = V;
+  return true;
+}

@@ -50,6 +50,12 @@ bool readSnapshotLog(const std::string &Text,
 /// \p Hi untouched) on any malformed input.
 bool parseCycleRange(const char *Spec, uint64_t &Lo, uint64_t &Hi);
 
+/// Parses a non-negative decimal count, the value of flags such as
+/// gctrace's --events= and heapscope's --map=, --sites= and --audit=.
+/// Rejects empty input, trailing garbage ("7junk") and negatives.
+/// \returns false (leaving \p Out untouched) on any malformed input.
+bool parseCount(const char *Spec, long &Out);
+
 } // namespace hcsgc
 
 #endif // HCSGC_OBSERVE_SNAPSHOTLOG_H

@@ -227,9 +227,10 @@ private:
     uint64_t CyclesWaited = 0;
   };
 
-  /// Allocates zeroed object memory through three explicit tiers — fast
-  /// (TLAB bump, no locks), mid (page refill, one shard lock), slow
-  /// (GC-assisted stall/backoff) — see INTERNALS §10. \p Site routes
+  /// Allocates raw object memory (not zeroed; initializeObject clears
+  /// each new object) through three explicit tiers — fast (TLAB bump, no
+  /// locks), mid (page refill, one shard lock), slow (GC-assisted
+  /// stall/backoff) — see INTERNALS §10. \p Site routes
   /// cold-profiled small allocations through the pretenure TLAB and is
   /// stamped into the destination page's site table. \returns 0 once
   /// every stall retry (including the final emergency cycle) failed;

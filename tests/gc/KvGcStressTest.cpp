@@ -498,10 +498,11 @@ KvPretenureRun runKvPretenureWorkload(bool SiteProfile) {
     // threshold and the route leaves Hot.
     if (SiteProfileTable *Prof = RT.heap().siteProfile())
       for (const SiteStats &St : Prof->snapshot())
-        if (St.Name == "kv.record_insert")
+        if (St.Name == "kv.record_insert") {
           EXPECT_NE(St.Route, SiteRoute::Hot)
               << "insert site never earned a non-hot route (ewma "
               << St.HotEwma << ")";
+        }
   }
   M.reset();
 

@@ -8,10 +8,12 @@
 /// \file
 /// Concurrency stress for the sharded PageAllocator (this suite runs
 /// under TSan in CI): parallel allocate/quarantine/release across shards
-/// asserting no address-range overlap, exact usedBytes/quarantinedBytes
-/// accounting, and free-run coalescing that restores full medium-page
-/// capacity after fragmented churn. Also proves the sharded slow path
-/// still reaches the relocation reserve under injected exhaustion.
+/// asserting no address-range overlap (through a per-unit owner table:
+/// pages are handed out dirty, so their bytes prove nothing on arrival),
+/// exact usedBytes/quarantinedBytes accounting, and free-run coalescing
+/// that restores full medium-page capacity after fragmented churn. Also
+/// proves the sharded slow path still reaches the relocation reserve
+/// under injected exhaustion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +53,41 @@ bool stampIntact(Page *P, uint64_t Token) {
          *reinterpret_cast<uint64_t *>(P->end() - sizeof(uint64_t)) == Token;
 }
 
+/// One owner token per small-page unit of the reservation (0 = free).
+/// The reservation is contiguous, so (address / unit size) modulo the
+/// unit count is a bijection onto the table without knowing the base.
+class UnitOwners {
+public:
+  UnitOwners(size_t ReservedBytes, size_t UnitBytes)
+      : UnitBytes(UnitBytes), Owners(ReservedBytes / UnitBytes) {}
+
+  /// Claims every unit \p P covers for \p Token. \returns the number of
+  /// units some other holder still owned: an overlapping hand-out.
+  unsigned claim(Page *P, uint64_t Token) {
+    unsigned Clashes = 0;
+    forEachUnit(P, [&](std::atomic<uint64_t> &O) {
+      uint64_t Free = 0;
+      if (!O.compare_exchange_strong(Free, Token))
+        ++Clashes;
+    });
+    return Clashes;
+  }
+
+  /// Frees \p P's units; call just before handing the page back.
+  void release(Page *P) {
+    forEachUnit(P, [](std::atomic<uint64_t> &O) { O.store(0); });
+  }
+
+private:
+  template <typename Fn> void forEachUnit(Page *P, Fn F) {
+    for (uintptr_t A = P->begin(); A < P->end(); A += UnitBytes)
+      F(Owners[(A / UnitBytes) % Owners.size()]);
+  }
+
+  size_t UnitBytes;
+  std::vector<std::atomic<uint64_t>> Owners;
+};
+
 } // namespace
 
 TEST(PageAllocatorStressTest, ParallelAllocQuarantineReleaseAccounting) {
@@ -62,6 +99,7 @@ TEST(PageAllocatorStressTest, ParallelAllocQuarantineReleaseAccounting) {
   constexpr unsigned NumThreads = 8;
   constexpr unsigned OpsPerThread = 400;
   std::atomic<unsigned> Corruptions{0};
+  UnitOwners Owners(3 * MaxHeap, stressGeo().SmallPageSize);
 
   auto Worker = [&](unsigned Tid) {
     std::mt19937_64 Rng(test::testSeed(0x5A5A) + Tid);
@@ -74,11 +112,12 @@ TEST(PageAllocatorStressTest, ParallelAllocQuarantineReleaseAccounting) {
                          : A.allocatePage(PageSizeClass::Small, 64, Op);
         if (!P)
           continue; // transient heap-full under contention is fine
-        // Fresh pages must arrive zeroed — a nonzero word means the
-        // range was handed out while someone else still owned it.
-        if (*reinterpret_cast<uint64_t *>(P->begin()) != 0)
+        // Tokens are never 0 (Op is offset by one), the free marker.
+        uint64_t Token = (uint64_t(Tid) << 32) | (Op + 1);
+        // Any unit already claimed means the range was handed out while
+        // someone else still owned it.
+        if (Owners.claim(P, Token) != 0)
           Corruptions.fetch_add(1);
-        uint64_t Token = (uint64_t(Tid) << 32) | Op;
         stamp(P, Token);
         Held.push_back({P, Token});
       } else {
@@ -94,8 +133,10 @@ TEST(PageAllocatorStressTest, ParallelAllocQuarantineReleaseAccounting) {
           A.quarantinePage(P);
           if (!stampIntact(P, Token))
             Corruptions.fetch_add(1);
+          Owners.release(P);
           A.releasePage(P);
         } else {
+          Owners.release(P);
           A.releasePage(P);
         }
       }
@@ -103,6 +144,7 @@ TEST(PageAllocatorStressTest, ParallelAllocQuarantineReleaseAccounting) {
     for (auto [P, Token] : Held) {
       if (!stampIntact(P, Token))
         Corruptions.fetch_add(1);
+      Owners.release(P);
       A.releasePage(P);
     }
   };

@@ -89,8 +89,9 @@ TEST(SnapshotInvariantTest, PageRecordsAreConsistent) {
       // inputs under the capture's confidence.
       EXPECT_EQ(P.Wlb, wlbFormula(P.LiveBytes, P.HotBytes,
                                   S.Hotness != 0, S.ColdConfidence));
-      if (P.EcSelected)
+      if (P.EcSelected) {
         EXPECT_EQ(P.State, SnapPageState::RelocSource);
+      }
     }
   }
   EXPECT_GT(Pages, 0u);
@@ -134,10 +135,11 @@ TEST(SnapshotInvariantTest, EcReplayIsByteExactAcrossConfidences) {
             E.Verdict == EcVerdict::RejectedThreshold ||
             E.Verdict == EcVerdict::RejectedBudget;
         if (E.SizeClass == SnapSizeClass::Small && IsCandidateVerdict &&
-            !A.RelocateAll)
+            !A.RelocateAll) {
           EXPECT_EQ(E.Weight, wlbFormula(E.LiveBytes, E.HotBytes,
                                          A.Hotness != 0,
                                          A.ColdConfidence));
+        }
       }
 
       // Offline replay must reproduce the collector's accept set

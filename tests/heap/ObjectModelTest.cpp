@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 using namespace hcsgc;
@@ -50,6 +51,35 @@ TEST(ObjectModelTest, RefArrayLayout) {
   EXPECT_EQ(V.numRefs(), Len);
   EXPECT_EQ(V.refSlotAddr(0), Addr + 16); // after header + length word
   EXPECT_EQ(V.refSlotAddr(4), Addr + 48);
+}
+
+TEST(ObjectModelTest, InitializeZeroesBodyOfDirtyMemory) {
+  // Pages are handed out dirty: initializeObject alone must null every
+  // ref slot and clear every payload byte, and touch nothing past the
+  // object.
+  constexpr uint64_t Dirt = 0xABABABABABABABABull;
+  alignas(8) uint64_t Buf[16];
+  std::memset(Buf, 0xAB, sizeof(Buf));
+  uintptr_t Addr = reinterpret_cast<uintptr_t>(Buf);
+  initializeObject(Addr, /*SizeWords=*/6, /*Cls=*/3, /*NumRefs=*/2,
+                   OF_None, 0);
+  ObjectView V(Addr);
+  EXPECT_EQ(V.header(), makeHeader(6, 3, 2, OF_None));
+  for (uint32_t I = 0; I < V.numRefs(); ++I)
+    EXPECT_EQ(*V.refSlot(I), NullOop) << "ref slot " << I;
+  for (size_t W = 3; W < 6; ++W)
+    EXPECT_EQ(Buf[W], 0u) << "payload word " << W - 3;
+  EXPECT_EQ(Buf[6], Dirt) << "zeroing ran past the object";
+
+  // A ref array: header, length word, then null elements.
+  std::memset(Buf, 0xAB, sizeof(Buf));
+  uint32_t Len = 4;
+  initializeObject(Addr, static_cast<uint32_t>(refArraySizeFor(Len) / 8),
+                   /*Cls=*/0, 0, OF_RefArray, Len);
+  EXPECT_EQ(V.numRefs(), Len);
+  for (uint32_t I = 0; I < Len; ++I)
+    EXPECT_EQ(*V.refSlot(I), NullOop) << "element " << I;
+  EXPECT_EQ(Buf[2 + Len], Dirt) << "zeroing ran past the array";
 }
 
 TEST(ObjectModelTest, ObjectSizeForAlignsUp) {

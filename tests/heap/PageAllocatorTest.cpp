@@ -29,6 +29,8 @@ TEST(PageAllocatorTest, AllocatesZeroedSmallPage) {
   EXPECT_EQ(P->size(), 64u * 1024);
   EXPECT_EQ(P->allocSeq(), 1u);
   EXPECT_EQ(A.usedBytes(), 64u * 1024);
+  // Zero only because a never-used unit is fresh anonymous mmap memory:
+  // recycled units keep their old bytes (objects are zeroed one by one).
   for (size_t I = 0; I < P->size(); I += 4096)
     EXPECT_EQ(*reinterpret_cast<uint64_t *>(P->begin() + I), 0u);
 }

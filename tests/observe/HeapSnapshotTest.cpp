@@ -462,3 +462,16 @@ TEST(CycleRangeTest, RejectsMalformedSpecsAndLeavesOutputsAlone) {
   uint64_t Lo = 1, Hi = 2;
   EXPECT_FALSE(parseCycleRange(nullptr, Lo, Hi));
 }
+
+TEST(CycleRangeTest, CountRejectsJunkAndNegatives) {
+  long N = 99;
+  ASSERT_TRUE(parseCount("0", N));
+  EXPECT_EQ(N, 0);
+  ASSERT_TRUE(parseCount("17", N));
+  EXPECT_EQ(N, 17);
+  for (const char *S : {"", "x", "7junk", "-1", "3..7"}) {
+    EXPECT_FALSE(parseCount(S, N)) << "spec: " << S;
+    EXPECT_EQ(N, 17) << "clobbered by: " << S;
+  }
+  EXPECT_FALSE(parseCount(nullptr, N));
+}

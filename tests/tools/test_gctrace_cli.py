@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Command-line checks for the built gctrace binary: malformed --cycles
-and --events values exit 2 (the same grammar heapscope enforces through
-parseCycleRange), well-formed ones exit 0.
+"""Command-line checks for the built gctrace and heapscope binaries:
+malformed --cycles and --events values (gctrace) and --map=, --sites= and
+--audit= values (heapscope) exit 2, well-formed ones exit 0.
 
-Usage: test_gctrace_cli.py <path to gctrace>   (ctest passes the path)
+Usage: test_gctrace_cli.py <path to gctrace> <path to heapscope>
+(ctest passes both paths)
 """
 
 import json
@@ -14,6 +15,7 @@ import tempfile
 import unittest
 
 GCTRACE = None
+HEAPSCOPE = None
 
 # Two cycles of begin/end markers: enough for a non-empty summary.
 TRACE = {"traceEvents": [
@@ -74,8 +76,48 @@ class GctraceCliTest(unittest.TestCase):
             self.run_gctrace(self.trace, "--bogus").returncode, 2)
 
 
+class HeapscopeCliTest(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        cls.dir = tempfile.TemporaryDirectory()
+        # An empty log holds zero captures and is valid input.
+        cls.log = os.path.join(cls.dir.name, "snap.jsonl")
+        open(cls.log, "w", encoding="utf-8").close()
+
+    @classmethod
+    def tearDownClass(cls):
+        cls.dir.cleanup()
+
+    def run_heapscope(self, *args):
+        return subprocess.run([HEAPSCOPE, *args], capture_output=True,
+                              text=True, check=False)
+
+    def test_malformed_values_exit_2(self):
+        missing = os.path.join(self.dir.name, "missing.jsonl")
+        for flag, what in (("map", "cycle"), ("sites", "count"),
+                           ("audit", "cycle")):
+            for spec in ("7junk", "abc", "", "-1"):
+                with self.subTest(flag=flag, spec=spec):
+                    r = self.run_heapscope(self.log, f"--{flag}={spec}")
+                    self.assertEqual(r.returncode, 2, r.stdout)
+                    self.assertIn(f"bad --{flag} {what}", r.stderr)
+            # Rejected while parsing arguments, before the log is opened.
+            with self.subTest(flag=flag, log="missing"):
+                r = self.run_heapscope(missing, f"--{flag}=7junk")
+                self.assertEqual(r.returncode, 2, r.stderr)
+                self.assertNotIn("cannot open", r.stderr)
+
+    def test_well_formed_values_exit_0(self):
+        r = self.run_heapscope(self.log, "--map=3", "--sites=5",
+                               "--audit=2")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("0 captures", r.stdout)
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit("usage: test_gctrace_cli.py <path to gctrace>")
+    if len(sys.argv) < 3:
+        sys.exit("usage: test_gctrace_cli.py <path to gctrace> "
+                 "<path to heapscope>")
     GCTRACE = sys.argv.pop(1)
+    HEAPSCOPE = sys.argv.pop(1)
     unittest.main()

@@ -82,8 +82,9 @@ TEST(MiniDbTest, MatchesStdMapUnderRandomOps) {
         bool Found = Db.lookup(K, V);
         auto It = Shadow.find(K);
         ASSERT_EQ(Found, It != Shadow.end()) << "key " << K;
-        if (Found)
+        if (Found) {
           ASSERT_EQ(V, It->second) << "key " << K;
+        }
       }
     }
     EXPECT_EQ(Db.size(), Shadow.size());

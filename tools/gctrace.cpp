@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -95,11 +94,8 @@ int main(int Argc, char **Argv) {
     if (std::strcmp(Argv[I], "--threads") == 0) {
       ShowThreads = true;
     } else if (std::strncmp(Argv[I], "--events=", 9) == 0) {
-      const char *Spec = Argv[I] + 9;
-      char *End = nullptr;
-      DumpEvents = std::strtol(Spec, &End, 10);
-      if (End == Spec || *End != '\0' || DumpEvents < 0) {
-        std::fprintf(stderr, "bad --events count: %s\n", Spec);
+      if (!parseCount(Argv[I] + 9, DumpEvents)) {
+        std::fprintf(stderr, "bad --events count: %s\n", Argv[I] + 9);
         return 2;
       }
     } else if (std::strncmp(Argv[I], "--cycles=", 9) == 0) {

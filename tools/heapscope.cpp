@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -350,19 +349,28 @@ int main(int Argc, char **Argv) {
       Map = true;
     } else if (std::strncmp(Argv[I], "--map=", 6) == 0) {
       Map = true;
-      MapCycle = std::atol(Argv[I] + 6);
+      if (!parseCount(Argv[I] + 6, MapCycle)) {
+        std::fprintf(stderr, "bad --map cycle: %s\n", Argv[I] + 6);
+        return 2;
+      }
     } else if (std::strcmp(Argv[I], "--trends") == 0) {
       Trends = true;
     } else if (std::strcmp(Argv[I], "--sites") == 0) {
       Sites = true;
     } else if (std::strncmp(Argv[I], "--sites=", 8) == 0) {
       Sites = true;
-      SitesTop = std::atol(Argv[I] + 8);
+      if (!parseCount(Argv[I] + 8, SitesTop)) {
+        std::fprintf(stderr, "bad --sites count: %s\n", Argv[I] + 8);
+        return 2;
+      }
     } else if (std::strcmp(Argv[I], "--audit") == 0) {
       Audit = true;
     } else if (std::strncmp(Argv[I], "--audit=", 8) == 0) {
       Audit = true;
-      AuditCycle = std::atol(Argv[I] + 8);
+      if (!parseCount(Argv[I] + 8, AuditCycle)) {
+        std::fprintf(stderr, "bad --audit cycle: %s\n", Argv[I] + 8);
+        return 2;
+      }
     } else if (std::strcmp(Argv[I], "--replay") == 0) {
       Replay = true;
     } else if (std::strncmp(Argv[I], "--diff=", 7) == 0) {
